@@ -24,6 +24,16 @@
    bit-identical blocks to [Harness.run] at the same seed - the
    equivalence audit in test/test_population.ml proves this per seed.
 
+   The sortition sweep is the hot loop: every round, every user, every
+   window role. [sweep] computes exactly [Sortition.verify] under the
+   sim VRF - SHA-256("simvrf-out" || pk || seed || "|" || role) mapped
+   through [Binomial.select_j] - but in one pass over users with all
+   roles inside: the message blocks the roles share are compressed
+   once per user into a midstate ([Vrf.Sim_sweep]), each role's tail
+   block has its schedule expanded once per round, the fraction is
+   read from the state words, and the user range is cut into one
+   contiguous slice per core.
+
    Constraints inherited from that argument (checked at [run]): sim
    crypto only (eligibility must be computable from the public key
    alone), no transaction workload, no adversary, no crash churn.
@@ -104,6 +114,7 @@ type result = {
   max_materialized : int;
   window_exceeded_rounds : int;
   agreement : bool;  (** every materialized node certified the same block each round *)
+  setup_s : float;  (** wall time spent deriving identities and building the genesis *)
 }
 
 (* The committee roles whose members may speak during a round:
@@ -143,12 +154,76 @@ let node_config (config : config) ~sig_scheme ~vrf_scheme ~(max_round : int) :
     deterministic_ts = true;
   }
 
+(* ---- The eligibility sweep: the engine's hot loop. ------------- *)
+
+(* Users [lo, hi) on one domain. Per user, [set_pk] folds the message
+   blocks every role shares into a SHA-256 midstate; per role,
+   [prefix56] replays the role's pre-expanded tail schedule (64
+   compression rounds when seed and role fit the usual two blocks) and
+   yields the 56-bit prefix [Sortition.hash_fraction] reads. Users whose
+   stake is the range's first stake compare that prefix against the
+   cutoff of the stake's exact B(0) before paying for
+   [Binomial.select_j]; nothing else here allocates. *)
+let sweep_range batch ~(pks : string array) ~(stakes : int array) ~(probs : float array)
+    ~(selected : bool array) ~lo ~hi : int array =
+  let counts = Array.make (Array.length probs) 0 in
+  if hi > lo then begin
+    let w0 = stakes.(lo) in
+    let cutoff =
+      Array.map (fun p -> Sortition.prefix_cutoff (Binomial.zero_threshold ~w:w0 ~p)) probs
+    in
+    let s = Vrf.Sim_sweep.scratch () in
+    for u = lo to hi - 1 do
+      Vrf.Sim_sweep.set_pk batch s pks.(u);
+      let w = stakes.(u) in
+      for r = 0 to Array.length probs - 1 do
+        let v = Vrf.Sim_sweep.prefix56 batch s r in
+        if
+          (w <> w0 || v >= cutoff.(r))
+          && Binomial.select_j ~frac:(Sortition.prefix_fraction v) ~w ~p:probs.(r) > 0
+        then begin
+          counts.(r) <- counts.(r) + 1;
+          selected.(u) <- true
+        end
+      done
+    done
+  end;
+  counts
+
+(* Below this many users per domain a spawn costs more than it saves. *)
+let min_domain_users = 4096
+
+let sweep ~(pks : string array) ~(stakes : int array) ~(total_weight : int) ~(seed : string)
+    ~(roles : (string * float) array) ~(selected : bool array) ~(lo : int) ~(hi : int) :
+    int array =
+  let batch =
+    Vrf.Sim_sweep.create
+      (Array.map (fun (role, _) -> Sortition.vrf_input ~seed ~role) roles)
+  in
+  let probs = Array.map (fun (_, tau) -> tau /. float_of_int total_weight) roles in
+  let range lo hi () = sweep_range batch ~pks ~stakes ~probs ~selected ~lo ~hi in
+  (* Contiguous slices, one per core: slice 0 on this domain, the rest
+     on domains spawned for this call. *)
+  let parts =
+    max 1 (min (Domain.recommended_domain_count ()) ((hi - lo) / min_domain_users))
+  in
+  let bound k = lo + ((hi - lo) * k / parts) in
+  let others =
+    List.init (parts - 1) (fun k -> Domain.spawn (range (bound (k + 1)) (bound (k + 2))))
+  in
+  let counts = range lo (bound 1) () in
+  List.iter
+    (fun d -> Array.iteri (fun r c -> counts.(r) <- counts.(r) + c) (Domain.join d))
+    others;
+  counts
+
 let run (config : config) : result =
   if config.users < 4 then invalid_arg "Population.run: need at least 4 users";
   if config.rounds < 1 then invalid_arg "Population.run: need at least 1 round";
   if config.bin_window < 4 then
     (* deciders carry votes three steps past a bin-1 decision *)
     invalid_arg "Population.run: bin_window must be >= 4";
+  let setup_start = Unix.gettimeofday () in
   let sig_scheme = Signature_scheme.sim and vrf_scheme = Vrf.sim in
   let n = config.users in
   let p = config.params in
@@ -176,6 +251,7 @@ let run (config : config) : result =
     done;
     Genesis.make !allocs
   in
+  let setup_s = Unix.gettimeofday () -. setup_start in
   let rng = Rng.create config.rng_seed in
   let net_rng = Rng.split rng "population-net" in
   let engine = Engine.create () in
@@ -213,43 +289,7 @@ let run (config : config) : result =
     done;
     !d
   in
-  (* ---- Per-round eligibility sweep over the flat arrays. --------- *)
   let selected = Array.make n false in
-  let equal_w =
-    match config.stake_distribution with
-    | `Equal -> Some config.stake_per_user
-    | `Linear -> None
-  in
-  (* Evaluate one role for every user; returns how many are selected.
-     This is the engine's hot loop: one short SHA-256 per (user, role)
-     via the sim VRF's public-key evaluation path, then the equal-stake
-     fast path compares the hash fraction against the precomputed
-     P(j = 0) before paying for the CDF inversion. *)
-  let sweep_role ~(seed : string) ~(role : string) ~(tau : float) : int =
-    let input = Sortition.vrf_input ~seed ~role in
-    let prob = tau /. float_of_int total_weight in
-    let c0 =
-      match equal_w with
-      | Some w -> Binomial.cdf ~k:0 ~n:w ~p:prob
-      | None -> 0.0
-    in
-    let count = ref 0 in
-    for u = 0 to n - 1 do
-      match vrf_scheme.verify ~pk:vrf_pks.(u) ~input ~proof:"" with
-      | None -> assert false (* sim VRF accepts every empty proof *)
-      | Some h ->
-        let frac = Sortition.hash_fraction h in
-        let j =
-          if equal_w <> None && frac < c0 then 0
-          else Binomial.select_j ~frac ~w:stakes.(u) ~p:prob
-        in
-        if j > 0 then begin
-          incr count;
-          selected.(u) <- true
-        end
-    done;
-    !count
-  in
   (* ---- Drive the rounds. ---------------------------------------- *)
   let round_stats = ref [] in
   let agreement = ref true in
@@ -272,12 +312,18 @@ let run (config : config) : result =
        move, so the stakes array is the weight vector at every height -
        identical to what each node reads from its own chain. *)
     Array.fill selected 0 n false;
-    let proposers = sweep_role ~seed ~role:(Vote.proposer_role ~round) ~tau:p.tau_proposer in
-    List.iter
-      (fun step ->
-        let tau = match step with Vote.Final -> p.tau_final | _ -> p.tau_step in
-        ignore (sweep_role ~seed ~role:(Vote.committee_role ~round ~step) ~tau))
-      (window_steps config.bin_window);
+    let roles =
+      Array.of_list
+        ((Vote.proposer_role ~round, p.tau_proposer)
+        :: List.map
+             (fun step ->
+               let tau = match step with Vote.Final -> p.tau_final | _ -> p.tau_step in
+               (Vote.committee_role ~round ~step, tau))
+             (window_steps config.bin_window))
+    in
+    let proposers =
+      (sweep ~pks:vrf_pks ~stakes ~total_weight ~seed ~roles ~selected ~lo:0 ~hi:n).(0)
+    in
     let chosen = ref [] in
     for u = n - 1 downto 0 do
       if selected.(u) then chosen := u :: !chosen
@@ -463,4 +509,5 @@ let run (config : config) : result =
     max_materialized = !max_materialized;
     window_exceeded_rounds = !window_exceeded;
     agreement = !agreement;
+    setup_s;
   }

@@ -3,8 +3,8 @@
     Runs BA* rounds over populations of 500k-1M users by materializing
     full {!Node.t} state machines only for the users sortition selects
     into the round's role window; the passive population exists as flat
-    per-user arrays (VRF public key, stake) swept once per role with the
-    sim VRF's public evaluation path. Identities, genesis, seeds and
+    per-user arrays (VRF public key, stake) swept once per round for the
+    whole role window by {!sweep}. Identities, genesis, seeds and
     sortition match {!Harness} exactly, so at the same seed the
     abstracted run certifies bit-identical blocks to a fully
     materialized run (the per-seed equivalence audit in the test
@@ -59,7 +59,29 @@ type result = {
   max_materialized : int;
   window_exceeded_rounds : int;
   agreement : bool;  (** every materialized node certified the same block each round *)
+  setup_s : float;  (** wall time spent deriving identities and building the genesis *)
 }
+
+val sweep :
+  pks:string array ->
+  stakes:int array ->
+  total_weight:int ->
+  seed:string ->
+  roles:(string * float) array ->
+  selected:bool array ->
+  lo:int ->
+  hi:int ->
+  int array
+(** [sweep ~pks ~stakes ~total_weight ~seed ~roles ~selected ~lo ~hi]
+    runs sim-VRF sortition for users [lo..hi-1] (sim public key
+    [pks.(u)], weight [stakes.(u)]) in every [(role, tau)] of [roles],
+    sets [selected.(u)] for each user selected in some role, and
+    returns the per-role selected counts. Each (user, role) decision is
+    bit-identical to [Sortition.verify] with [Vrf.sim]. The range is
+    split into contiguous slices across up to
+    [Domain.recommended_domain_count ()] domains, never fewer than a
+    few thousand users each; slices write disjoint parts of
+    [selected]. *)
 
 val run : config -> result
 (** Drive [config.rounds] rounds; stops early (with [agreement = false])

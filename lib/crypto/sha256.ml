@@ -32,43 +32,55 @@ let scaled_root ~k p =
 
 let mask32 = 0xFFFFFFFF
 
-let k_table =
-  lazy (Array.of_list (List.map (fun p -> scaled_root ~k:3 p land mask32) (first_primes 64)))
+(* Forced at module initialization, not lazily: several domains may
+   hash at once, and a lazy value forced concurrently raises. *)
+let k_table = Array.of_list (List.map (fun p -> scaled_root ~k:3 p land mask32) (first_primes 64))
 
-let h_init =
-  lazy (Array.of_list (List.map (fun p -> scaled_root ~k:2 p land mask32) (first_primes 8)))
+let h_init = Array.of_list (List.map (fun p -> scaled_root ~k:2 p land mask32) (first_primes 8))
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+let init (h : int array) = Array.blit h_init 0 h 0 8
 
-let compress (h : int array) (block : string) (off : int) =
-  let k = Lazy.force k_table in
-  let w = Array.make 64 0 in
+(* [x] (a 32-bit word) rotated right by [n]. Bits above 31 are left as
+   garbage: every rotation feeds a sum or an xor that is masked before
+   it is stored, and garbage above bit 31 never reaches the low 32
+   bits of a sum. *)
+let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
+
+let expand (block : string) (off : int) (w : int array) (woff : int) =
+  if off < 0 || off + 64 > String.length block || woff < 0 || woff + 64 > Array.length w
+  then invalid_arg "Sha256.expand";
   for t = 0 to 15 do
-    let b i = Char.code block.[off + (4 * t) + i] in
-    w.(t) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+    Array.unsafe_set w (woff + t)
+      (Int32.to_int (String.get_int32_be block (off + (4 * t))) land mask32)
   done;
-  for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
-  done;
+  for t = woff + 16 to woff + 63 do
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask32)
+  done
+
+let rounds (h : int array) (w : int array) (woff : int) =
+  if Array.length h < 8 || woff < 0 || woff + 64 > Array.length w then
+    invalid_arg "Sha256.rounds";
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
+    let e' = !e and a' = !a in
+    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k_table t + Array.unsafe_get w (woff + t) in
+    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
+    f := e';
     e := (!d + t1) land mask32;
     d := !c;
     c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
+    b := a';
+    a := (t1 + s0 + maj) land mask32
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;
@@ -79,29 +91,39 @@ let compress (h : int array) (block : string) (off : int) =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
+let compress (h : int array) ~(w : int array) (block : string) (off : int) =
+  expand block off w 0;
+  rounds h w 0
+
 let digest_length = 32
 
-let digest (msg : string) : string =
-  let h = Array.copy (Lazy.force h_init) in
+(* [msg] from byte [off] on, then the padding that completes the whole
+   of [msg]: 0x80, zeroes, and the 64-bit big-endian bit length. *)
+let pad (msg : string) ~(off : int) : string =
   let len = String.length msg in
-  let full_blocks = len / 64 in
+  let rest = len - off in
+  let total = ((rest + 8) / 64 * 64) + 64 in
+  let b = Bytes.make total '\000' in
+  Bytes.blit_string msg off b 0 rest;
+  Bytes.set b rest '\x80';
+  Bytes.set_int64_be b (total - 8) (Int64.of_int (len * 8));
+  Bytes.unsafe_to_string b
+
+let digest (msg : string) : string =
+  let h = Array.copy h_init and w = Array.make 64 0 in
+  let full_blocks = String.length msg / 64 in
   for i = 0 to full_blocks - 1 do
-    compress h msg (i * 64)
+    compress h ~w msg (i * 64)
   done;
-  (* Padding: 0x80, zeroes, then the 64-bit big-endian bit length. *)
-  let rem = len - (full_blocks * 64) in
-  let pad_len = if rem < 56 then 64 else 128 in
-  let tail = Bytes.make pad_len '\000' in
-  Bytes.blit_string msg (full_blocks * 64) tail 0 rem;
-  Bytes.set tail rem '\x80';
-  let bitlen = len * 8 in
+  let tail = pad msg ~off:(full_blocks * 64) in
+  for i = 0 to (String.length tail / 64) - 1 do
+    compress h ~w tail (i * 64)
+  done;
+  let out = Bytes.create digest_length in
   for i = 0 to 7 do
-    Bytes.set tail (pad_len - 1 - i) (Char.chr ((bitlen lsr (8 * i)) land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int h.(i))
   done;
-  let tail = Bytes.unsafe_to_string tail in
-  compress h tail 0;
-  if pad_len = 128 then compress h tail 64;
-  String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
+  Bytes.unsafe_to_string out
 
 let digest_hex msg = Hex.of_string (digest msg)
 

@@ -173,15 +173,122 @@ let ecvrf : scheme =
 (* Simulation VRF: distribution-faithful, zero-cost, no secrecy.       *)
 (* ------------------------------------------------------------------ *)
 
+(* The sim VRF's output for [input] under [pk] is
+   SHA-256(sim_out_tag || pk || input); [Sim_sweep] relies on this
+   layout. *)
+let sim_out_tag = "simvrf-out"
+
+let sim_output ~pk input = Sha256.digest_concat [ sim_out_tag; pk; input ]
+
 let sim : scheme =
   let generate ~seed =
     (* pk doubles as the (publicly known) key material: correct selection
        distribution, no privacy. See DESIGN.md, substitution 3. *)
     let pk = Sha256.digest_concat [ "simvrf-key"; seed ] in
-    let prove input = (Sha256.digest_concat [ "simvrf-out"; pk; input ], "") in
+    let prove input = (sim_output ~pk input, "") in
     ({ prove }, pk)
   in
-  let verify ~pk ~input ~proof =
-    if proof <> "" then None else Some (Sha256.digest_concat [ "simvrf-out"; pk; input ])
-  in
+  let verify ~pk ~input ~proof = if proof <> "" then None else Some (sim_output ~pk input) in
   { name = "sim"; generate; verify; proof_length = 0; output_length = 32 }
+
+(* The sim VRF evaluated for a fixed set of inputs under every key of a
+   population, with no allocation per evaluation.
+
+   The padded message of input i is tag || pk || input_i || padding,
+   cut into 64-byte blocks. Only block 0 holds key bytes, so every
+   later block depends on the input alone: its message schedule is
+   expanded once, here. Blocks that lie wholly inside the tag, the key
+   and the prefix all inputs share are the same for every input; under
+   one key they fold into a midstate once ([set_pk]), and each input
+   then costs its own remaining blocks ([prefix56]). When that shared
+   part is shorter than a block, block 0 holds input bytes as well and
+   is rebuilt per (key, input). *)
+module Sim_sweep = struct
+  let pk_at = String.length sim_out_tag
+  let pk_length = Sha256.digest_length
+
+  type t = {
+    head : int;  (** leading blocks shared by every input *)
+    padded : string array;  (** each input's padded message, key bytes zeroed *)
+    head_sched : int array;  (** schedules of shared blocks 1..head-1 *)
+    sched : int array array;  (** each input's schedules of its blocks from max(head,1) *)
+  }
+
+  let padded_message input =
+    Sha256.pad (String.concat "" [ sim_out_tag; String.make pk_length '\000'; input ]) ~off:0
+
+  let common_prefix (inputs : string array) =
+    let n = Array.length inputs in
+    if n = 0 then 0
+    else begin
+      let limit = Array.fold_left (fun m s -> min m (String.length s)) max_int inputs in
+      let rec go i =
+        if i < limit && Array.for_all (fun s -> s.[i] = inputs.(0).[i]) inputs then go (i + 1)
+        else i
+      in
+      go 0
+    end
+
+  (* Schedules of blocks [first..last] of [msg], 64 words each. *)
+  let schedules msg ~first ~last =
+    let w = Array.make (64 * max 0 (last - first + 1)) 0 in
+    for k = first to last do
+      Sha256.expand msg (64 * k) w (64 * (k - first))
+    done;
+    w
+
+  let create (inputs : string array) : t =
+    let padded = Array.map padded_message inputs in
+    let head = (pk_at + pk_length + common_prefix inputs) / 64 in
+    let head_sched =
+      if Array.length padded = 0 then [||] else schedules padded.(0) ~first:1 ~last:(head - 1)
+    in
+    let sched =
+      Array.map
+        (fun msg -> schedules msg ~first:(max head 1) ~last:((String.length msg / 64) - 1))
+        padded
+    in
+    { head; padded; head_sched; sched }
+
+  type scratch = {
+    block : Bytes.t;  (** block 0 under the current key *)
+    w : int array;
+    mid : int array;  (** state after the shared head under the current key *)
+    st : int array;
+  }
+
+  let scratch () =
+    let block = Bytes.make 64 '\000' in
+    Bytes.blit_string sim_out_tag 0 block 0 pk_at;
+    { block; w = Array.make 64 0; mid = Array.make 8 0; st = Array.make 8 0 }
+
+  (* Block 0 of input [i]'s message under the key already in
+     [s.block], folded into [h]. *)
+  let block0 t s i h =
+    let rest = pk_at + pk_length in
+    Bytes.blit_string t.padded.(i) rest s.block rest (64 - rest);
+    Sha256.compress h ~w:s.w (Bytes.unsafe_to_string s.block) 0
+
+  let set_pk t s pk =
+    if String.length pk <> pk_length then invalid_arg "Vrf.Sim_sweep.set_pk: key length";
+    Bytes.blit_string pk 0 s.block pk_at pk_length;
+    Sha256.init s.mid;
+    if t.head > 0 then begin
+      block0 t s 0 s.mid;
+      for k = 0 to (Array.length t.head_sched / 64) - 1 do
+        Sha256.rounds s.mid t.head_sched (64 * k)
+      done
+    end
+
+  let prefix56 t s i =
+    let st = s.st in
+    for j = 0 to 7 do
+      st.(j) <- s.mid.(j)
+    done;
+    if t.head = 0 then block0 t s i st;
+    let sched = t.sched.(i) in
+    for k = 0 to (Array.length sched / 64) - 1 do
+      Sha256.rounds st sched (64 * k)
+    done;
+    (st.(0) lsl 24) lor (st.(1) lsr 8)
+end

@@ -81,3 +81,16 @@ let select_j ~(frac : float) ~(w : int) ~(p : float) : int =
       if !found then !j else hi
     end
   end
+
+(* The B(0) that [select_j] compares [frac] against: [select_j] returns
+   0 whenever [frac < zero_threshold ~w ~p]. Exact, not approximate -
+   it repeats [select_j]'s own first step - so a sweep may skip
+   [select_j] below it without changing any result. The heavy regime,
+   where 0 selections are out of reach, reports 0. *)
+let zero_threshold ~(w : int) ~(p : float) : float =
+  if w = 0 || p <= 0.0 then infinity
+  else if p >= 1.0 then 0.0
+  else begin
+    let log_b0 = float_of_int w *. log1p (-.p) in
+    if log_b0 > -700.0 then exp log_b0 else 0.0
+  end

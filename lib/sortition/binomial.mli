@@ -13,3 +13,9 @@ val select_j : frac:float -> w:int -> p:float -> int
     selected sub-users [j] such that [frac] falls in
     [\[cdf(j-1), cdf(j))]. [frac] is the VRF hash divided by
     2{^hashlen}; [w] the user's weight; [p = tau/W]. *)
+
+val zero_threshold : w:int -> p:float -> float
+(** A bound below which [select_j] selects nothing: whenever
+    [frac < zero_threshold ~w ~p], [select_j ~frac ~w ~p = 0]. It is
+    exactly the B(0) [select_j] itself computes (0 where it never
+    returns 0), so skipping [select_j] below it changes no result. *)

@@ -16,16 +16,34 @@ type selection = {
   j : int;  (** Number of selected sub-users; 0 = not selected. *)
 }
 
-(* The hash fraction hash/2^hashlen, using the top 53 bits (double
-   precision). Selection events with probability below 2^-53 are
-   rounded away, which is far below every threshold the protocol
+(* The hash fraction hash/2^hashlen, read from the hash's first 7 bytes:
+   their 56-bit big-endian value v, rounded once to a double (which
+   keeps 53 bits), times 2^-56. Selection events with probability below
+   2^-53 are rounded away, far below every threshold the protocol
    uses. *)
+let[@inline] prefix_fraction (v : int) : float = float_of_int v *. 0x1p-56
+
+(* The least v in [0, 2^56] with [prefix_fraction v >= x]. The fraction
+   is monotone in v, so [prefix_fraction v < x] iff [v < prefix_cutoff x]:
+   a sweep can test a threshold on the integer prefix, exactly. *)
+let prefix_cutoff (x : float) : int =
+  let rec search lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      if prefix_fraction mid >= x then search lo mid else search (mid + 1) hi
+    end
+  in
+  search 0 (1 lsl 56)
+
 let hash_fraction (hash : string) : float =
-  let v = ref 0.0 in
-  for i = 0 to min 6 (String.length hash - 1) do
-    v := (!v *. 256.0) +. float_of_int (Char.code hash.[i])
+  let n = min 7 (String.length hash) in
+  let v = ref 0 in
+  for i = 0 to n - 1 do
+    v := (!v lsl 8) lor Char.code hash.[i]
   done;
-  !v /. (256.0 ** float_of_int (min 7 (String.length hash)))
+  (* A hash shorter than 7 bytes reads as if zero-padded. *)
+  prefix_fraction (!v lsl (8 * (7 - n)))
 
 let vrf_input ~(seed : string) ~(role : string) : string = seed ^ "|" ^ role
 

@@ -15,8 +15,19 @@ type selection = {
   j : int;  (** number of selected sub-users; 0 = not selected *)
 }
 
+val prefix_fraction : int -> float
+(** [prefix_fraction v] is the hash fraction of a hash whose first 7
+    bytes read big-endian as [v]: [v] rounded once to a double, times
+    2{^-56}. *)
+
+val prefix_cutoff : float -> int
+(** [prefix_cutoff x] is the least [v] in [\[0, 2{^56}\]] with
+    [prefix_fraction v >= x]; so [prefix_fraction v < x] exactly when
+    [v < prefix_cutoff x]. *)
+
 val hash_fraction : string -> float
-(** [hash / 2{^hashlen}] using the top 53 bits. *)
+(** [hash / 2{^hashlen}] from the hash's 56-bit prefix:
+    [prefix_fraction] of its first 7 bytes. *)
 
 val vrf_input : seed:string -> role:string -> string
 
