@@ -14,10 +14,10 @@
 
    `micro` re-measures the crypto primitives and refreshes
    results/BENCH_crypto.json; `micro-check` is the CI smoke gate that
-   fails (exit 1) when ed25519/verify regresses >2x vs the committed
-   snapshot. `sim` sweeps the population engine to a million users and
-   refreshes results/BENCH_sim.json; `sim-check` is its CI gate (100k
-   users, fails on a >2x rounds/sec regression).
+   fails (exit 1) when ed25519/verify or ecvrf/verify regresses >2x vs
+   the committed snapshot. `sim` sweeps the population engine to a
+   million users and refreshes results/BENCH_sim.json; `sim-check` is
+   its CI gate (100k users, fails on a >2x rounds/sec regression).
 
    The x-axes are scaled down from the paper's 1,000-VM deployment (see
    DESIGN.md section 2 and EXPERIMENTS.md): committee parameters stay at
@@ -148,15 +148,36 @@ let certificate_workload () =
 
 let bench_json = Filename.concat csv_dir "BENCH_crypto.json"
 
+(* The host a record was measured on: core count, OCaml version and the
+   source revision (git describe, "-dirty" when the tree has
+   uncommitted changes; "unknown" outside a git checkout). *)
+let host_stamp () : (string * string) list =
+  let revision =
+    try
+      let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+      let line = try input_line ic with End_of_file -> "" in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, rev when rev <> "" -> rev
+      | _ -> "unknown"
+    with Unix.Unix_error _ | Sys_error _ -> "unknown"
+  in
+  [
+    ("host_cores", string_of_int (Domain.recommended_domain_count ()));
+    ("ocaml_version", Printf.sprintf "%S" Sys.ocaml_version);
+    ("git_revision", Printf.sprintf "%S" revision);
+  ]
+
 let write_bench_json (rows : (string * float) list) : unit =
   (try if not (Sys.file_exists csv_dir) then Sys.mkdir csv_dir 0o755 with Sys_error _ -> ());
+  let fields =
+    host_stamp () @ List.map (fun (k, v) -> (k, Printf.sprintf "%.0f" v)) rows
+  in
   let oc = open_out bench_json in
   output_string oc "{\n";
   List.iteri
     (fun i (k, v) ->
-      Printf.fprintf oc "  %S: %.0f%s\n" k v
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
+      Printf.fprintf oc "  %S: %s%s\n" k v (if i = List.length fields - 1 then "" else ","))
+    fields;
   output_string oc "}\n";
   close_out oc
 
@@ -201,6 +222,21 @@ let pre_engine_baselines =
     ("baseline_ecvrf_prove_ns", 4_568_727.0);
     ("baseline_ecvrf_verify_ns", 5_071_770.0);
     ("baseline_certificate_validate_per_vote_ns", 7_840_000.0);
+  ]
+
+(* The same operations with the canonicalizing field kernel (every
+   field operation fully reduced its result), measured at commit
+   3024894 on the host and in the session that produced the current
+   snapshot: a 2-vCPU VM, OCaml 5.1.1. *)
+let canonical_kernel_baselines =
+  [
+    ("canonical_kernel_ed25519_sign_ns", 382_657.0);
+    ("canonical_kernel_ed25519_verify_ns", 1_343_121.0);
+    ("canonical_kernel_ed25519_verify_batch_per_sig_ns", 701_738.0);
+    ("canonical_kernel_ecvrf_prove_ns", 2_163_700.0);
+    ("canonical_kernel_ecvrf_verify_ns", 1_450_381.0);
+    ("canonical_kernel_vote_validate_ns", 4_531_443.0);
+    ("canonical_kernel_certificate_validate_per_vote_ns", 2_720_415.0);
   ]
 
 let micro () =
@@ -256,7 +292,7 @@ let micro () =
          | Ok () -> ()
          | Error e -> Format.kasprintf failwith "certificate invalid: %a" Certificate.pp_error e)
     /. float_of_int n_votes);
-  let rows = List.rev !rows @ pre_engine_baselines in
+  let rows = List.rev !rows @ pre_engine_baselines @ canonical_kernel_baselines in
   write_bench_json rows;
   Printf.printf "  -> %s\n" bench_json;
   let ratio num den =
@@ -266,35 +302,60 @@ let micro () =
   in
   Printf.printf "  speedup vs pre-engine baseline: verify %s, certificate/vote %s\n"
     (ratio "ed25519_verify_ns" "baseline_ed25519_verify_ns")
-    (ratio "certificate_validate_per_vote_ns" "baseline_certificate_validate_per_vote_ns")
+    (ratio "certificate_validate_per_vote_ns" "baseline_certificate_validate_per_vote_ns");
+  Printf.printf "  speedup vs canonical kernel:";
+  List.iter
+    (fun (k, _) ->
+      let prefix = String.length "canonical_kernel_" in
+      let key = String.sub k prefix (String.length k - prefix) in
+      Printf.printf " %s %s" key (ratio key k))
+    canonical_kernel_baselines;
+  print_newline ()
 
-(* Smoke-mode regression gate (CI): re-measure single-signature
-   verification with a short manual loop and fail when it has
-   regressed more than 2x against the committed snapshot. Short
-   enough for CI; the full `micro` refreshes the snapshot. *)
+(* Smoke-mode regression gate (CI): re-measure single-signature and
+   ECVRF verification with short manual loops and fail when either has
+   regressed more than 2x against the committed snapshot. Short enough
+   for CI; the full `micro` refreshes the snapshot. *)
 let micro_check () =
-  header "Microbenchmark smoke check: ed25519/verify vs committed snapshot";
-  match read_bench_field "ed25519_verify_ns" with
-  | None ->
-    Printf.printf "  no committed %s; run `bench/main.exe -- micro` first\n" bench_json;
-    exit 1
-  | Some committed ->
-    let ed = Ed25519.generate ~seed:"bench" in
-    let ed_pk = Ed25519.public_key ed in
-    let msg = String.make 1024 'x' in
-    let ed_sig = Ed25519.sign ed msg in
-    let measured =
-      manual_ns ~warmup:5 ~iters:50 (fun () ->
+  header "Microbenchmark smoke check: ed25519/verify and ecvrf/verify vs committed snapshot";
+  let ed = Ed25519.generate ~seed:"bench" in
+  let ed_pk = Ed25519.public_key ed in
+  let msg = String.make 1024 'x' in
+  let ed_sig = Ed25519.sign ed msg in
+  let ecvrf_prover, ecvrf_pk = Vrf.ecvrf.generate ~seed:"bench" in
+  let _, ecvrf_proof = ecvrf_prover.prove "input" in
+  let gates =
+    [
+      ( "ed25519_verify_ns",
+        fun () ->
           if not (Ed25519.verify ~public:ed_pk ~msg ~signature:ed_sig) then
-            failwith "verify must accept")
-    in
-    Printf.printf "  committed %12.0f ns/op\n  measured  %12.0f ns/op (%.2fx)\n%!"
-      committed measured (measured /. committed);
-    if measured > 2.0 *. committed then begin
-      Printf.printf "  FAIL: ed25519/verify regressed more than 2x\n";
-      exit 1
-    end
-    else Printf.printf "  OK\n"
+            failwith "verify must accept" );
+      ( "ecvrf_verify_ns",
+        fun () ->
+          if Vrf.ecvrf.verify ~pk:ecvrf_pk ~input:"input" ~proof:ecvrf_proof = None then
+            failwith "ecvrf verify must accept" );
+    ]
+  in
+  let failed =
+    List.filter
+      (fun (key, f) ->
+        match read_bench_field key with
+        | None ->
+          Printf.printf "  no committed %s in %s; run `bench/main.exe -- micro` first\n" key
+            bench_json;
+          true
+        | Some committed ->
+          let measured = manual_ns ~warmup:5 ~iters:50 f in
+          Printf.printf "  %s\n    committed %12.0f ns/op\n    measured  %12.0f ns/op (%.2fx)\n%!"
+            key committed measured (measured /. committed);
+          if measured > 2.0 *. committed then begin
+            Printf.printf "    FAIL: regressed more than 2x\n";
+            true
+          end
+          else false)
+      gates
+  in
+  if failed <> [] then exit 1 else Printf.printf "  OK\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: committee size vs honest fraction.                        *)

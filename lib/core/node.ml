@@ -110,7 +110,7 @@ type round_state = {
   proposed_blocks : (string, Block.t) Hashtbl.t;  (** block hash -> block *)
   blocks_by_proposer : (string, string) Hashtbl.t;  (** proposer pk -> block hash *)
   equivocators : (string, unit) Hashtbl.t;
-  vote_weight_cache : (string, int) Hashtbl.t;  (** vote content digest -> weighted votes *)
+  vote_weight_cache : (Vote.t, int) Hashtbl.t;  (** whole vote -> weighted votes *)
   mutable best_priority : Proposal.priority_msg option;
   mutable first_priority_at : float option;
   mutable ba : Ba_star.t option;
@@ -459,16 +459,17 @@ let send_vote (t : t) (rs : round_state) (v : Vote.t) : unit =
 (* ------------------------------------------------------------------ *)
 
 let vote_weight (_t : t) (rs : round_state) (v : Vote.t) : int =
-  (* The cache key covers the full vote content, not just the gossip
-     id (round, step, voter): a corrupted variant sharing an id with
-     an honest vote must not poison the cache with weight 0 and
-     suppress the honest copy when it arrives later. *)
-  let key = Sha256.digest_concat [ Vote.signed_body v; v.voter_pk; v.signature ] in
-  match Hashtbl.find_opt rs.vote_weight_cache key with
+  (* The cache is keyed by the whole vote, field by field (structural
+     hash and equality), not by its gossip id (round, step, voter) or
+     any concatenation of its fields: a corrupted variant that shares
+     an id with the honest vote, or that shifts bytes across a field
+     boundary, must not poison the cache with weight 0 and suppress the
+     honest copy when it arrives later. *)
+  match Hashtbl.find_opt rs.vote_weight_cache v with
   | Some w -> w
   | None ->
     let w = Vote.validate rs.vctx v in
-    Hashtbl.replace rs.vote_weight_cache key w;
+    Hashtbl.replace rs.vote_weight_cache v w;
     w
 
 let rec apply_ba_actions (t : t) (rs : round_state) (actions : Ba_star.action list) : unit =

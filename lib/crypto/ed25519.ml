@@ -16,7 +16,7 @@
 (* ------------------------------------------------------------------ *)
 
 module Fp = struct
-  let p = Ed25519_p.p
+  let p = Nat.sub (Nat.shift_left Nat.one 255) (Nat.of_int 19)
 
   (* x mod p, folding the high part with 2^255 = 19 (mod p). *)
   let reduce (x : Nat.t) : Nat.t =
@@ -87,6 +87,12 @@ let order =
 (* and the fixed representation is several times faster than the       *)
 (* generic Nat arithmetic (which remains the reference oracle in the   *)
 (* Fp module above and in the test suite).                             *)
+(*                                                                     *)
+(* The group law is written once, in place: [double_to] and [add_to]   *)
+(* store into a caller-owned point and take their field temporaries    *)
+(* from a [scratch], so a scalar-multiplication chain allocates        *)
+(* nothing per step. Only a point the running function created itself *)
+(* is ever written; constants, tables and arguments are read-only.     *)
 (* ------------------------------------------------------------------ *)
 
 module Fe = Fe25519
@@ -97,6 +103,9 @@ let two_d_fe = Fe.of_nat two_d
 let d_fe = Fe.of_nat d
 
 let identity = { x = Fe.zero (); y = Fe.one (); z = Fe.one (); t = Fe.zero () }
+
+let copy_point (p : point) : point =
+  { x = Fe.copy p.x; y = Fe.copy p.y; z = Fe.copy p.z; t = Fe.copy p.t }
 
 let to_affine (p : point) : Nat.t * Nat.t =
   let zi = Fe.inv p.z in
@@ -109,47 +118,85 @@ let on_curve (pt : point) : bool =
   let rhs = Fp.add Fp.one (Fp.mul d (Fp.mul x2 y2)) in
   Nat.equal lhs rhs
 
-(* RFC 8032 extended-coordinate addition (a = -1, complete formulas). *)
+(* An addend as the addition formula consumes it: Y+X, Y-X, 2d*T and
+   Z, with [cz = None] for an affine point (Z = 1), which saves one
+   multiplication per addition. Every precomputed table holds these. *)
+type cached = { ypx : Fe.t; ymx : Fe.t; t2d : Fe.t; cz : Fe.t option }
+
+let cached_of (p : point) : cached =
+  { ypx = Fe.add p.y p.x; ymx = Fe.sub p.y p.x; t2d = Fe.mul p.t two_d_fe; cz = Some (Fe.copy p.z) }
+
+(* Requires p.z = 1 (see [normalize_many]). *)
+let cached_of_affine (p : point) : cached = { (cached_of p) with cz = None }
+
+(* Field temporaries for the in-place formulas. Each chain makes its
+   own, so domains running chains at once never share one. *)
+type scratch = { s0 : Fe.t; s1 : Fe.t; s2 : Fe.t; s3 : Fe.t; s4 : Fe.t }
+
+let scratch () : scratch =
+  { s0 = Fe.create (); s1 = Fe.create (); s2 = Fe.create (); s3 = Fe.create (); s4 = Fe.create () }
+
+let fresh_point () : point = { x = Fe.create (); y = Fe.create (); z = Fe.create (); t = Fe.create () }
+
+(* r <- 2p; r may be p. Doubling never reads T, so at a chain position
+   whose next operation is another doubling the T multiplication is
+   waste: [~with_t:false] skips it and leaves r.t stale. The chain
+   computes T at positions with a nonzero digit and at position 0, so
+   every point that escapes a chain carries a valid T. *)
+let double_to (s : scratch) ~(with_t : bool) (r : point) (p : point) : unit =
+  Fe.sqr_to s.s0 p.x (* A = X^2 *);
+  Fe.sqr_to s.s1 p.y (* B = Y^2 *);
+  Fe.sqr_to s.s2 p.z;
+  Fe.add_to s.s2 s.s2 s.s2 (* C = 2 Z^2 *);
+  Fe.add_to s.s3 s.s0 s.s1 (* H = A + B *);
+  Fe.add_to s.s4 p.x p.y;
+  Fe.sqr_to s.s4 s.s4;
+  Fe.sub_to s.s4 s.s3 s.s4 (* E = H - (X + Y)^2 *);
+  Fe.sub_to s.s1 s.s0 s.s1 (* G = A - B *);
+  Fe.add_to s.s2 s.s2 s.s1 (* F = C + G *);
+  Fe.mul_to r.x s.s4 s.s2;
+  Fe.mul_to r.y s.s1 s.s3;
+  if with_t then Fe.mul_to r.t s.s4 s.s3;
+  Fe.mul_to r.z s.s2 s.s1
+
+(* r <- p + q, or p - q with [~neg:true]: RFC 8032 extended addition
+   (a = -1, complete formulas). Negating q swaps Y+X with Y-X and
+   negates 2dT, which swaps the F and G terms. r may be p. *)
+let add_to (s : scratch) ~(neg : bool) (r : point) (p : point) (q : cached) : unit =
+  Fe.add_to s.s0 p.y p.x;
+  Fe.mul_to s.s0 s.s0 (if neg then q.ymx else q.ypx) (* B *);
+  Fe.sub_to s.s1 p.y p.x;
+  Fe.mul_to s.s1 s.s1 (if neg then q.ypx else q.ymx) (* A *);
+  Fe.mul_to s.s2 q.t2d p.t (* C, up to sign *);
+  (match q.cz with
+  | None -> Fe.add_to s.s3 p.z p.z
+  | Some z ->
+    Fe.mul_to s.s3 p.z z;
+    Fe.add_to s.s3 s.s3 s.s3) (* D = 2 Z1 Z2 *);
+  Fe.sub_to s.s4 s.s0 s.s1 (* E = B - A *);
+  Fe.add_to s.s0 s.s0 s.s1 (* H = B + A *);
+  if neg then begin
+    Fe.add_to s.s1 s.s3 s.s2;
+    Fe.sub_to s.s3 s.s3 s.s2
+  end
+  else begin
+    Fe.sub_to s.s1 s.s3 s.s2 (* F = D - C *);
+    Fe.add_to s.s3 s.s3 s.s2 (* G = D + C *)
+  end;
+  Fe.mul_to r.x s.s4 s.s1;
+  Fe.mul_to r.y s.s3 s.s0;
+  Fe.mul_to r.t s.s4 s.s0;
+  Fe.mul_to r.z s.s1 s.s3
+
 let add (p : point) (q : point) : point =
-  let a = Fe.mul (Fe.sub p.y p.x) (Fe.sub q.y q.x) in
-  let b = Fe.mul (Fe.add p.y p.x) (Fe.add q.y q.x) in
-  let c = Fe.mul (Fe.mul p.t two_d_fe) q.t in
-  let dd = Fe.mul (Fe.add p.z p.z) q.z in
-  let e = Fe.sub b a in
-  let f = Fe.sub dd c in
-  let g = Fe.add dd c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
+  let r = fresh_point () in
+  add_to (scratch ()) ~neg:false r p (cached_of q);
+  r
 
 let double (p : point) : point =
-  let a = Fe.sqr p.x in
-  let b = Fe.sqr p.y in
-  let z2 = Fe.sqr p.z in
-  let c = Fe.add z2 z2 in
-  let h = Fe.add a b in
-  let e = Fe.sub h (Fe.sqr (Fe.add p.x p.y)) in
-  let g = Fe.sub a b in
-  let f = Fe.add c g in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
-
-(* Doubling never reads [p.t], and the [t] it produces is only consumed
-   by a following addition. At w-NAF chain positions whose digits are
-   all zero the next operation is another doubling, so the [t = e*h]
-   multiplication is pure waste; this variant skips it (its output [t]
-   is garbage and must be consumed only by [double]/[double_nt]). The
-   chain loops below fall back to the full [double] at positions with a
-   nonzero digit and at position 0, so every point that escapes a chain
-   carries a valid extended coordinate. *)
-let double_nt (p : point) : point =
-  let a = Fe.sqr p.x in
-  let b = Fe.sqr p.y in
-  let z2 = Fe.sqr p.z in
-  let c = Fe.add z2 z2 in
-  let h = Fe.add a b in
-  let e = Fe.sub h (Fe.sqr (Fe.add p.x p.y)) in
-  let g = Fe.sub a b in
-  let f = Fe.add c g in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.zero (); z = Fe.mul f g }
+  let r = fresh_point () in
+  double_to (scratch ()) ~with_t:true r p;
+  r
 
 let neg (p : point) : point = { p with x = Fe.neg p.x; t = Fe.neg p.t }
 
@@ -170,12 +217,12 @@ let equal_points (p : point) (q : point) : bool =
 (* The fast scalar-multiplication engine.                              *)
 (*                                                                     *)
 (* Building blocks: batched affine conversion (one shared inversion),  *)
-(* precomputed affine points with mixed addition (7M instead of 9M),   *)
-(* and signed sliding-window (w-NAF) scalar recoding. On top of these  *)
-(* sit a fixed-base comb table for B (sign, keygen, VRF nonces), w-NAF *)
-(* variable-base multiplication, Strauss-Shamir interleaved            *)
-(* double-scalar multiplication (verification), and an n-way           *)
-(* multi-scalar accumulator (batch verification). The naive            *)
+(* precomputed affine addends (7M per addition instead of 8M), and     *)
+(* signed sliding-window (w-NAF) scalar recoding. On top of these sit  *)
+(* a fixed-base comb table for B (sign, keygen, VRF nonces) and one    *)
+(* interleaved w-NAF chain that serves variable-base multiplication,   *)
+(* Strauss-Shamir double-scalar multiplication (verification) and the  *)
+(* n-way multi-scalar accumulator (batch verification). The naive      *)
 (* [scalar_mult] above stays as the randomized-test oracle.            *)
 (* ------------------------------------------------------------------ *)
 
@@ -191,43 +238,6 @@ let normalize_many (ps : point array) : point array =
 
 let to_affine_many (ps : point array) : (Nat.t * Nat.t) array =
   Array.map (fun p -> (Fe.to_nat p.x, Fe.to_nat p.y)) (normalize_many ps)
-
-(* Precomputed affine form (y+x, y-x, 2d*x*y), z = 1 implicit. *)
-type precomp = { yplusx : Fe.t; yminusx : Fe.t; xy2d : Fe.t }
-
-(* Requires p.z = 1 (see [normalize_many]). *)
-let precomp_of_affine (p : point) : precomp =
-  {
-    yplusx = Fe.add p.y p.x;
-    yminusx = Fe.sub p.y p.x;
-    xy2d = Fe.mul (Fe.mul p.x p.y) two_d_fe;
-  }
-
-(* Mixed addition p + q with q precomputed affine: the general addition
-   with Z2 = 1 folded in, 7 multiplications instead of 9. *)
-let madd (p : point) (q : precomp) : point =
-  let a = Fe.mul (Fe.sub p.y p.x) q.yminusx in
-  let b = Fe.mul (Fe.add p.y p.x) q.yplusx in
-  let c = Fe.mul q.xy2d p.t in
-  let dd = Fe.add p.z p.z in
-  let e = Fe.sub b a in
-  let f = Fe.sub dd c in
-  let g = Fe.add dd c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
-
-(* p - q: negating an affine point swaps (y+x, y-x) and negates xy2d,
-   which folds into swapped factors and swapped F/G terms. *)
-let msub (p : point) (q : precomp) : point =
-  let a = Fe.mul (Fe.sub p.y p.x) q.yplusx in
-  let b = Fe.mul (Fe.add p.y p.x) q.yminusx in
-  let c = Fe.mul q.xy2d p.t in
-  let dd = Fe.add p.z p.z in
-  let e = Fe.sub b a in
-  let f = Fe.add dd c in
-  let g = Fe.sub dd c in
-  let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
 
 (* Signed sliding-window recoding: digits are odd with |d| < 2^(w-1),
    and any w consecutive positions hold at most one nonzero digit, so
@@ -283,34 +293,37 @@ let odd_multiples (p : point) ~(size : int) : point array =
   done;
   tbl
 
-(* Add digit * P into acc, where tbl holds odd multiples of P. *)
-let apply_digit (acc : point) (tbl : point array) (d : int) : point =
-  if d > 0 then add acc tbl.((d - 1) / 2)
-  else if d < 0 then add acc (neg tbl.((-d - 1) / 2))
-  else acc
+(* sum_k naf_k * P_k in one shared doubling chain (Strauss-Shamir
+   interleaving), where tbls.(k) holds the odd multiples P_k, 3P_k,
+   5P_k, ... and nafs.(k) the w-NAF digits of the k-th scalar. *)
+let wnaf_chain (nafs : int array array) (tbls : cached array array) : point =
+  let n = Array.length nafs in
+  let digit k i = if i < Array.length nafs.(k) then nafs.(k).(i) else 0 in
+  let top = Array.fold_left (fun m naf -> max m (top_nonzero naf)) (-1) nafs in
+  let s = scratch () in
+  let acc = copy_point identity in
+  for i = top downto 0 do
+    let live = ref (i = 0) in
+    for k = 0 to n - 1 do
+      if digit k i <> 0 then live := true
+    done;
+    double_to s ~with_t:!live acc acc;
+    for k = 0 to n - 1 do
+      let d = digit k i in
+      if d > 0 then add_to s ~neg:false acc acc tbls.(k).((d - 1) / 2)
+      else if d < 0 then add_to s ~neg:true acc acc tbls.(k).((-d - 1) / 2)
+    done
+  done;
+  acc
 
-let apply_digit_pre (acc : point) (tbl : precomp array) (d : int) : point =
-  if d > 0 then madd acc tbl.((d - 1) / 2)
-  else if d < 0 then msub acc tbl.((-d - 1) / 2)
-  else acc
+let odd_multiples_cached (p : point) : cached array =
+  Array.map cached_of (odd_multiples p ~size:8)
 
 (* Variable-base w-NAF scalar multiplication. The scalar is NOT reduced
    mod L, so this is exact on the whole group (including mixed-order
    points), matching the naive oracle. *)
 let scalar_mult_fast (k : Nat.t) (p : point) : point =
-  let naf = wnaf_digits k ~w:5 in
-  let top = top_nonzero naf in
-  if top < 0 then identity
-  else begin
-    let tbl = odd_multiples p ~size:8 in
-    let acc = ref (apply_digit identity tbl naf.(top)) in
-    for i = top - 1 downto 0 do
-      let d = naf.(i) in
-      acc := (if d <> 0 || i = 0 then double !acc else double_nt !acc);
-      if d <> 0 then acc := apply_digit !acc tbl d
-    done;
-    !acc
-  end
+  wnaf_chain [| wnaf_digits k ~w:5 |] [| odd_multiples_cached p |]
 
 (* ------------------------------------------------------------------ *)
 (* Point compression: 32 bytes, little-endian y with x parity on top.  *)
@@ -392,7 +405,7 @@ let () =
 let comb_positions = 64
 let comb_row = 15
 
-type comb = precomp array array
+type comb = cached array array
 
 (* ~1000 point operations plus one shared inversion: only worth
    building for a point that will be multiplied many times. [p] must
@@ -413,91 +426,55 @@ let comb_of_point (p : point) : comb =
   done;
   let affine = normalize_many buf in
   Array.init comb_positions (fun i ->
-      Array.init comb_row (fun j -> precomp_of_affine affine.((i * comb_row) + j)))
+      Array.init comb_row (fun j -> cached_of_affine affine.((i * comb_row) + j)))
 
 let comb_table : comb = comb_of_point base
 
 (* Odd multiples B, 3B, ..., 63B for the w=7 w-NAF base-point side of
    Strauss-Shamir and batch accumulation. *)
-let base_wnaf_table : precomp array =
-  Array.map precomp_of_affine (normalize_many (odd_multiples base ~size:32))
+let base_wnaf_table : cached array =
+  Array.map cached_of_affine (normalize_many (odd_multiples base ~size:32))
 
 (* k*P off a comb table. P has order L, so reducing k mod L first is
    exact and bounds the digit count. *)
 let scalar_mult_comb (c : comb) (k : Nat.t) : point =
   let k = Nat.rem k order in
   let bytes = Nat.to_bytes_le k ~len:32 in
-  let acc = ref identity in
+  let s = scratch () in
+  let acc = copy_point identity in
   for i = 0 to comb_positions - 1 do
     let byte = Char.code bytes.[i / 2] in
     let digit = if i land 1 = 0 then byte land 0xf else byte lsr 4 in
-    if digit <> 0 then acc := madd !acc c.(i).(digit - 1)
+    if digit <> 0 then add_to s ~neg:false acc acc c.(i).(digit - 1)
   done;
-  !acc
+  acc
 
 let scalar_mult_base (k : Nat.t) : point = scalar_mult_comb comb_table k
 
-(* Strauss-Shamir interleaving: a*B + b*Q in one shared doubling chain,
-   the base-point digits off the precomputed w=7 table. b is used
-   unreduced so the result is exact for Q of any order. *)
+(* a*B + b*Q in one shared doubling chain, the base-point digits off
+   the precomputed w=7 table. b is used unreduced so the result is
+   exact for Q of any order. *)
 let double_scalar_mult_base (a : Nat.t) (b : Nat.t) (q : point) : point =
-  let anaf = wnaf_digits (Nat.rem a order) ~w:7 in
-  let bnaf = wnaf_digits b ~w:5 in
-  let qtbl = odd_multiples q ~size:8 in
-  let top = max (top_nonzero anaf) (top_nonzero bnaf) in
-  let acc = ref identity in
-  for i = top downto 0 do
-    let da = if i < Array.length anaf then anaf.(i) else 0 in
-    let db = if i < Array.length bnaf then bnaf.(i) else 0 in
-    acc := (if da <> 0 || db <> 0 || i = 0 then double !acc else double_nt !acc);
-    if da <> 0 then acc := apply_digit_pre !acc base_wnaf_table da;
-    if db <> 0 then acc := apply_digit !acc qtbl db
-  done;
-  !acc
+  wnaf_chain
+    [| wnaf_digits (Nat.rem a order) ~w:7; wnaf_digits b ~w:5 |]
+    [| base_wnaf_table; odd_multiples_cached q |]
 
 (* a*P + b*Q for two variable points, one shared doubling chain. *)
 let double_scalar_mult (a : Nat.t) (p : point) (b : Nat.t) (q : point) : point =
-  let anaf = wnaf_digits a ~w:5 in
-  let bnaf = wnaf_digits b ~w:5 in
-  let ptbl = odd_multiples p ~size:8 in
-  let qtbl = odd_multiples q ~size:8 in
-  let top = max (top_nonzero anaf) (top_nonzero bnaf) in
-  let acc = ref identity in
-  for i = top downto 0 do
-    let da = if i < Array.length anaf then anaf.(i) else 0 in
-    let db = if i < Array.length bnaf then bnaf.(i) else 0 in
-    acc := (if da <> 0 || db <> 0 || i = 0 then double !acc else double_nt !acc);
-    if da <> 0 then acc := apply_digit !acc ptbl da;
-    if db <> 0 then acc := apply_digit !acc qtbl db
-  done;
-  !acc
+  wnaf_chain
+    [| wnaf_digits a ~w:5; wnaf_digits b ~w:5 |]
+    [| odd_multiples_cached p; odd_multiples_cached q |]
 
 (* kb*B + sum_i k_i*P_i: the n-way interleaved accumulator behind batch
    verification. One doubling chain total; each point pays only its own
    w-NAF additions and an 8-entry odd-multiples table. *)
 let multi_scalar_mult_base ~(base_scalar : Nat.t) (pairs : (Nat.t * point) list) : point =
-  let bnaf = wnaf_digits (Nat.rem base_scalar order) ~w:7 in
-  let items =
-    List.map (fun (k, p) -> (wnaf_digits k ~w:5, odd_multiples p ~size:8)) pairs
-  in
-  let top =
-    List.fold_left (fun m (naf, _) -> max m (top_nonzero naf)) (top_nonzero bnaf) items
-  in
-  let acc = ref identity in
-  for i = top downto 0 do
-    let db = if i < Array.length bnaf then bnaf.(i) else 0 in
-    let live =
-      db <> 0 || i = 0
-      || List.exists (fun (naf, _) -> i < Array.length naf && naf.(i) <> 0) items
-    in
-    acc := (if live then double !acc else double_nt !acc);
-    if db <> 0 then acc := apply_digit_pre !acc base_wnaf_table db;
-    List.iter
-      (fun (naf, tbl) ->
-        if i < Array.length naf then acc := apply_digit !acc tbl naf.(i))
-      items
-  done;
-  !acc
+  let pairs = Array.of_list pairs in
+  wnaf_chain
+    (Array.append
+       [| wnaf_digits (Nat.rem base_scalar order) ~w:7 |]
+       (Array.map (fun (k, _) -> wnaf_digits k ~w:5) pairs))
+    (Array.append [| base_wnaf_table |] (Array.map (fun (_, p) -> odd_multiples_cached p) pairs))
 
 (* Membership in the prime-order subgroup: [L]P = O. Curve points have
    order dividing 8L, so this rejects any small-order component. *)
@@ -595,24 +572,6 @@ let verify ~(public : public) ~(msg : string) ~(signature : string) : bool =
     equal_points (double_scalar_mult_base s e (neg a)) r
   | _ -> false
 
-(* The pre-engine verifier, kept verbatim as the randomized-test
-   oracle (naive double-and-add, no subgroup check - the tests use the
-   missing check to demonstrate the small-order forgery this module now
-   rejects). *)
-let verify_ref ~(public : public) ~(msg : string) ~(signature : string) : bool =
-  String.length signature = signature_length
-  &&
-  let r_enc = String.sub signature 0 32 in
-  let s = Nat.of_bytes_le (String.sub signature 32 32) in
-  Nat.compare s order < 0
-  &&
-  match (decode r_enc, decode public) with
-  | Some r, Some a ->
-    let e = challenge ~r_enc ~public ~msg in
-    (* s*B = R + e*A *)
-    equal_points (scalar_mult s base) (add r (scalar_mult e a))
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Batch verification.                                                 *)
 (*                                                                     *)
@@ -671,12 +630,10 @@ let verify_batch (items : (public * string * string) list) : bool =
         parsed
     in
     (* The scalars stay unreduced: w-NAF is exact on scalars of any
-       length, and Nat's bit-by-bit division is expensive enough that
-       two mod-L reductions per signature would rival the curve work.
-       The z_i*e_i products are ~381 bits, which only lengthens the
-       shared doubling chain by ~128 doubles per chunk - amortized
-       noise. One reduction of the summed base scalar happens inside
-       [multi_scalar_mult_base]. *)
+       length. The z_i*e_i products are ~381 bits, which only lengthens
+       the shared doubling chain by ~128 doubles per chunk - less than
+       a mod-L reduction per signature. One reduction of the summed
+       base scalar happens inside [multi_scalar_mult_base]. *)
     let combined_s =
       List.fold_left (fun acc (z, s, _, _, _) -> Nat.add acc (Nat.mul z s)) Nat.zero terms
     in

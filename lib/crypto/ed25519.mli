@@ -124,11 +124,6 @@ val verify : public:public -> msg:string -> signature:string -> bool
     public keys outside the prime subgroup (small-order-component
     forgeries) and non-canonical encodings. *)
 
-val verify_ref : public:public -> msg:string -> signature:string -> bool
-(** The pre-engine naive verifier, kept as a behavioral oracle for the
-    tests. No subgroup check — the small-order forgery test relies on
-    this to demonstrate the attack [verify] now rejects. *)
-
 val verify_batch : (public * string * string) list -> bool
 (** [verify_batch \[(pk, msg, signature); ...\]] checks all signatures
     at once via a random linear combination with 128-bit coefficients

@@ -200,26 +200,65 @@ let low_bits (a : t) (k : int) : t =
     normalize r
   end
 
-(* Shift-and-subtract long division; adequate for the <=1024-bit numbers
-   used in this codebase (field elements go through the dedicated
-   pseudo-Mersenne reduction in Ed25519 instead). *)
+(* Schoolbook long division in base 2^26 (Knuth, TAOCP vol. 2, 4.3.1,
+   algorithm D). The divisor is shifted so its top limb has bit 25 set;
+   each quotient limb is then estimated from the top two remainder
+   limbs and the top divisor limb, corrected with the second divisor
+   limb (after which it is at most one too large), and fixed by one
+   add-back when the subtraction goes negative. Every intermediate is
+   below 2^54. *)
 let divmod (a : t) (d : t) : t * t =
   if is_zero d then raise Division_by_zero;
   if compare a d < 0 then (zero, a)
   else begin
-    let bits_a = bit_length a and bits_d = bit_length d in
-    let q = Array.make ((bits_a / limb_bits) + 1) 0 in
-    let r = ref zero in
-    for i = bits_a - 1 downto 0 do
-      r := shift_left !r 1;
-      if testbit a i then r := add !r one;
-      if compare !r d >= 0 then begin
-        r := sub !r d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end
+    let base = 1 lsl limb_bits in
+    let n = Array.length d in
+    let shift = limb_bits - (bit_length d - ((n - 1) * limb_bits)) in
+    let v = shift_left d shift in
+    let sa = shift_left a shift in
+    let m = Array.length sa - n in
+    (* u holds the running remainder, one limb longer than sa. *)
+    let u = Array.make (Array.length sa + 1) 0 in
+    Array.blit sa 0 u 0 (Array.length sa);
+    let q = Array.make (m + 1) 0 in
+    let vtop = v.(n - 1) and vnext = if n >= 2 then v.(n - 2) else 0 in
+    for j = m downto 0 do
+      let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      let below = if n >= 2 then u.(j + n - 2) else 0 in
+      while
+        !rhat < base
+        && (!qhat >= base || !qhat * vnext > (!rhat lsl limb_bits) lor below)
+      do
+        decr qhat;
+        rhat := !rhat + vtop
+      done;
+      (* u[j .. j+n] -= qhat * v *)
+      let carry = ref 0 and borrow = ref 0 in
+      for i = 0 to n - 1 do
+        let p = (!qhat * v.(i)) + !carry in
+        carry := p lsr limb_bits;
+        let t = u.(i + j) - (p land limb_mask) - !borrow in
+        borrow := if t < 0 then 1 else 0;
+        u.(i + j) <- t land limb_mask
+      done;
+      let t = u.(j + n) - !carry - !borrow in
+      if t >= 0 then u.(j + n) <- t
+      else begin
+        (* qhat was one too large: add v back, dropping the carry out. *)
+        u.(j + n) <- t land limb_mask;
+        decr qhat;
+        let c = ref 0 in
+        for i = 0 to n - 1 do
+          let s = u.(i + j) + v.(i) + !c in
+          u.(i + j) <- s land limb_mask;
+          c := s lsr limb_bits
+        done;
+        u.(j + n) <- (u.(j + n) + !c) land limb_mask
+      end;
+      q.(j) <- !qhat
     done;
-    ignore bits_d;
-    (normalize q, !r)
+    (normalize q, shift_right (normalize (Array.sub u 0 n)) shift)
   end
 
 let div a d = fst (divmod a d)
@@ -251,11 +290,16 @@ let of_bytes_be (s : string) : t =
   !r
 
 let of_bytes_le (s : string) : t =
-  let r = ref zero in
-  for i = String.length s - 1 downto 0 do
-    r := add (shift_left !r 8) (of_int (Char.code s.[i]))
-  done;
-  !r
+  let r = Array.make (((8 * String.length s) / limb_bits) + 1) 0 in
+  String.iteri
+    (fun i c ->
+      let bit = 8 * i in
+      let limb = bit / limb_bits and off = bit mod limb_bits in
+      let v = Char.code c lsl off in
+      r.(limb) <- r.(limb) lor (v land limb_mask);
+      if v lsr limb_bits <> 0 then r.(limb + 1) <- r.(limb + 1) lor (v lsr limb_bits))
+    s;
+  normalize r
 
 let to_bytes_be (a : t) ~(len : int) : string =
   if bit_length a > 8 * len then invalid_arg "Nat.to_bytes_be: does not fit";

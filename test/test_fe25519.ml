@@ -59,7 +59,7 @@ let inversion_and_pow () =
   eq_nat "x * x^-1 = 1" Nat.one (Fe25519.to_nat (Fe25519.mul x (Fe25519.inv x)));
   (* Fermat via pow. *)
   let y = to_fe (Nat.of_int 31337) in
-  eq_nat "y^(p-1) = 1" Nat.one (Fe25519.to_nat (Fe25519.pow y (Nat.sub p Nat.one)))
+  eq_nat "y^(p-1) = 1" Nat.one (Fe25519.to_nat (Oracles.fe_pow y (Nat.sub p Nat.one)))
 
 let sqrt_m1_and_parity () =
   (* sqrt(-1)^2 = -1, and parity is the canonical low bit. *)
@@ -113,6 +113,164 @@ let inv_many_matches () =
     xs;
   Alcotest.(check int) "empty" 0 (Array.length (Fe25519.inv_many [||]))
 
+(* ------------------------------------------------------------------ *)
+(* The weakly reduced invariant: no operation canonicalizes, so values *)
+(* are checked against the oracle only where they are observed.        *)
+(* ------------------------------------------------------------------ *)
+
+let within_bounds (a : Fe25519.t) : bool =
+  let l = Fe25519.to_limbs a in
+  Array.length l = 10
+  && Array.for_all Fun.id (Array.mapi (fun i v -> v >= 0 && v < Fe25519.limb_bound i) l)
+
+(* The value a limb vector stands for, reduced or not. *)
+let nat_of_limbs (l : int array) : Nat.t =
+  let r = ref Nat.zero in
+  for i = 9 downto 0 do
+    r := Nat.add (Nat.shift_left !r (if i land 1 = 0 then 26 else 25)) (Nat.of_int l.(i))
+  done;
+  !r
+
+let max_limbs = Array.init 10 (fun i -> Fe25519.limb_bound i - 1)
+let fe_max () = Fe25519.of_limbs max_limbs
+
+(* Random chains of mixed operations, never observed in between. Each
+   step draws an operation and an operand from the running values;
+   every intermediate must stay within the limb bounds, and the final
+   values must match the Nat oracle run on the same program. *)
+let chains () =
+  let d = Drbg.create ~seed:"fe25519-chains" in
+  for chain = 1 to 40 do
+    let start =
+      List.init 4 (fun k ->
+          if k = 0 && chain mod 4 = 0 then (fe_max (), Nat.rem (nat_of_limbs max_limbs) p)
+          else begin
+            let n = Nat.rem (Nat.of_bytes_le (Drbg.random_bytes d 32)) p in
+            (to_fe n, n)
+          end)
+    in
+    let vals = Array.of_list start in
+    for _ = 1 to 250 do
+      let pick () = vals.(Drbg.random_int d (Array.length vals)) in
+      let (a, an), (b, bn) = (pick (), pick ()) in
+      let r =
+        match Drbg.random_int d 5 with
+        | 0 -> (Fe25519.add a b, Ed25519.Fp.add an bn)
+        | 1 -> (Fe25519.sub a b, Ed25519.Fp.sub an bn)
+        | 2 -> (Fe25519.neg a, Ed25519.Fp.neg an)
+        | 3 -> (Fe25519.mul a b, Ed25519.Fp.mul an bn)
+        | _ -> (Fe25519.sqr a, Ed25519.Fp.sqr an)
+      in
+      if not (within_bounds (fst r)) then Alcotest.fail "limb bound broken mid-chain";
+      vals.(Drbg.random_int d (Array.length vals)) <- r
+    done;
+    Array.iter (fun (v, n) -> eq_nat "chain end matches oracle" n (Fe25519.to_nat v)) vals
+  done
+
+(* The bounds in fe25519.ml are worst cases at these inputs: every limb
+   at its maximum, through every operation. *)
+let max_limb_inputs () =
+  let m = fe_max () in
+  let mn = Nat.rem (nat_of_limbs max_limbs) p in
+  let one = Fe25519.one () in
+  let cases =
+    [
+      ("mul", Fe25519.mul m m, Ed25519.Fp.mul mn mn);
+      ("sqr", Fe25519.sqr m, Ed25519.Fp.sqr mn);
+      ("add", Fe25519.add m m, Ed25519.Fp.add mn mn);
+      ("sub max-max", Fe25519.sub m m, Nat.zero);
+      ("sub 1-max", Fe25519.sub one m, Ed25519.Fp.sub Nat.one mn);
+      ("neg", Fe25519.neg m, Ed25519.Fp.neg mn);
+    ]
+  in
+  List.iter
+    (fun (name, v, expect) ->
+      Alcotest.(check bool) (name ^ " within bounds") true (within_bounds v);
+      eq_nat name expect (Fe25519.to_nat v))
+    cases;
+  (* In place, with the destination aliasing both operands. *)
+  let r = fe_max () in
+  Fe25519.mul_to r r r;
+  eq_nat "mul_to aliased" (Ed25519.Fp.mul mn mn) (Fe25519.to_nat r);
+  Alcotest.check_raises "of_limbs rejects a limb at its bound"
+    (Invalid_argument "Fe25519.of_limbs: bound") (fun () ->
+      ignore (Fe25519.of_limbs (Array.mapi (fun i v -> if i = 3 then v + 1 else v) max_limbs)))
+
+(* Values at or above p that the invariant allows: observation must see
+   the residue, not the limbs. (2p - 1 lies above the largest value the
+   limb bounds allow, 2^255 + 2^243 or so, so no operation produces it.) *)
+let non_canonical () =
+  let p_limbs =
+    Array.init 10 (fun i ->
+        if i = 0 then (1 lsl 26) - 19 else if i land 1 = 0 then (1 lsl 26) - 1 else (1 lsl 25) - 1)
+  in
+  eq_nat "p limbs" p (nat_of_limbs p_limbs);
+  let with_low k = Fe25519.of_limbs (Array.mapi (fun i v -> if i = 0 then v + k else v) p_limbs) in
+  let fp = with_low 0 and fp1 = with_low 1 and fpm1 = with_low (-1) in
+  let zero = Fe25519.zero () and one = Fe25519.one () in
+  Alcotest.(check bool) "p is zero" true (Fe25519.is_zero fp);
+  Alcotest.(check bool) "p equals 0" true (Fe25519.equal fp zero);
+  Alcotest.(check bool) "0 equals p" true (Fe25519.equal zero fp);
+  Alcotest.(check int) "parity p (odd low limb)" 0 (Fe25519.parity fp);
+  eq_nat "to_nat p" Nat.zero (Fe25519.to_nat fp);
+  Alcotest.(check bool) "p + 1 equals 1" true (Fe25519.equal fp1 one);
+  Alcotest.(check bool) "p + 1 not zero" false (Fe25519.is_zero fp1);
+  Alcotest.(check int) "parity p + 1 (even low limb)" 1 (Fe25519.parity fp1);
+  Alcotest.(check bool) "p - 1 is canonical" true (Fe25519.equal fpm1 (Fe25519.neg one));
+  Alcotest.(check int) "parity p - 1" 0 (Fe25519.parity fpm1);
+  Alcotest.(check bool) "p - 1 not zero" false (Fe25519.is_zero fpm1);
+  let m = fe_max () in
+  let mn = Nat.rem (nat_of_limbs max_limbs) p in
+  Alcotest.(check bool) "max above p" true (Nat.compare (nat_of_limbs max_limbs) p > 0);
+  eq_nat "max reduces" mn (Fe25519.to_nat m);
+  Alcotest.(check int) "parity max" (if Nat.testbit mn 0 then 1 else 0) (Fe25519.parity m);
+  Alcotest.(check bool) "max equals its residue" true (Fe25519.equal m (to_fe mn))
+
+(* Minor-heap words one call allocates, averaged over many calls. *)
+let words_per_call ?(n = 1000) f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let allocation () =
+  let a = to_fe (Nat.of_int 123456789) and b = fe_max () in
+  let r = Fe25519.create () in
+  let result_words = 11.0 (* ten limbs and a header *) in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call f in
+      if w > result_words +. 0.1 then Alcotest.failf "%s allocates %.1f words" name w)
+    [
+      ("add", fun () -> Fe25519.add a b);
+      ("sub", fun () -> Fe25519.sub a b);
+      ("neg", fun () -> Fe25519.neg a);
+      ("mul", fun () -> Fe25519.mul a b);
+      ("sqr", fun () -> Fe25519.sqr a);
+    ];
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call f in
+      if w > 0.1 then Alcotest.failf "%s allocates %.1f words" name w)
+    [
+      ("add_to", fun () -> Fe25519.add_to r a b);
+      ("sub_to", fun () -> Fe25519.sub_to r a b);
+      ("neg_to", fun () -> Fe25519.neg_to r a);
+      ("mul_to", fun () -> Fe25519.mul_to r a b);
+      ("sqr_to", fun () -> Fe25519.sqr_to r a);
+    ];
+  (* One verification allocated ~218k words with the canonicalizing
+     kernel; the weakly reduced, in-place one must stay under a quarter. *)
+  let sk = Ed25519.generate ~seed:"alloc" in
+  let public = Ed25519.public_key sk and msg = String.make 1024 'x' in
+  let signature = Ed25519.sign sk msg in
+  let w =
+    words_per_call ~n:20 (fun () ->
+        if not (Ed25519.verify ~public ~msg ~signature) then Alcotest.fail "verify")
+  in
+  if w > 218_000.0 /. 4.0 then Alcotest.failf "Ed25519.verify allocates %.0f words" w
+
 let suite =
   [
     ( "fe25519",
@@ -143,6 +301,10 @@ let suite =
         qt "inv matches oracle" gen_fe (fun a ->
             Nat.is_zero (Nat.rem a p)
             || Nat.equal (Fe25519.to_nat (Fe25519.inv (to_fe a))) (Ed25519.Fp.inv a));
+        t "mixed chains, never canonicalized" chains;
+        t "every limb at its maximum" max_limb_inputs;
+        t "non-canonical representatives" non_canonical;
+        t "allocation" allocation;
         qt "distributivity" QCheck2.Gen.(triple gen_fe gen_fe gen_fe) (fun (a, b, c) ->
             let a = to_fe a and b = to_fe b and c = to_fe c in
             Fe25519.equal

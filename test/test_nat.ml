@@ -19,6 +19,20 @@ let gen_nat : Nat.t QCheck2.Gen.t =
 
 let gen_small = QCheck2.Gen.(map Nat.of_int (int_range 0 1_000_000))
 
+(* Naturals of up to 25 limbs built from limb values that stress long
+   division: 0, 1, 2^25 - 1, 2^25, 2^26 - 1 and random limbs. Such
+   divisors reach the quotient correction and the add-back step. *)
+let gen_limby : Nat.t QCheck2.Gen.t =
+  QCheck2.Gen.(
+    map
+      (List.fold_left (fun acc l -> Nat.add (Nat.shift_left acc 26) (Nat.of_int l)) Nat.zero)
+      (list_size (int_range 1 25)
+         (oneof
+            [
+              oneofl [ 0; 1; (1 lsl 25) - 1; 1 lsl 25; (1 lsl 26) - 1 ];
+              int_range 0 ((1 lsl 26) - 1);
+            ])))
+
 let basics () =
   check_eq "zero" Nat.zero (Nat.of_int 0);
   Alcotest.(check bool) "is_zero" true (Nat.is_zero Nat.zero);
@@ -132,6 +146,14 @@ let suite =
             ||
             let q, r = Nat.divmod a d in
             Nat.equal a (Nat.add (Nat.mul q d) r) && Nat.compare r d < 0);
+        qt ~count:2000 "divmod reconstructs, wide divisors"
+          QCheck2.Gen.(pair gen_limby gen_limby) (fun (a, d) ->
+            Nat.is_zero d
+            ||
+            let q, r = Nat.divmod a d in
+            Nat.equal a (Nat.add (Nat.mul q d) r) && Nat.compare r d < 0);
+        qt "bytes roundtrip, little-endian" gen_limby (fun a ->
+            Nat.equal a (Nat.of_bytes_le (Nat.to_bytes_le a ~len:82)));
         qt "decimal roundtrip" gen_nat (fun a ->
             Nat.equal a (Nat.of_decimal (Nat.to_decimal a)));
         qt "bytes roundtrip" gen_nat (fun a ->

@@ -196,7 +196,7 @@ let small_order_forgery () =
   let s = Nat.rem (Nat.add k (Nat.mul e a)) order in
   let signature = r_enc ^ Nat.to_bytes_le s ~len:32 in
   Alcotest.(check bool) "naive verifier accepts the forgery" true
-    (Ed25519.verify_ref ~public:pk' ~msg ~signature);
+    (Oracles.ed25519_verify_ref ~public:pk' ~msg ~signature);
   Alcotest.(check bool) "engine verifier rejects the forgery" false
     (Ed25519.verify ~public:pk' ~msg ~signature);
   (* Control: the engine still accepts the honest signature. *)
@@ -224,7 +224,7 @@ let verify_matches_ref () =
       else signature
     in
     Alcotest.(check bool) "verify = verify_ref"
-      (Ed25519.verify_ref ~public:pk ~msg ~signature)
+      (Oracles.ed25519_verify_ref ~public:pk ~msg ~signature)
       (Ed25519.verify ~public:pk ~msg ~signature)
   done
 

@@ -273,6 +273,47 @@ let poisoned_vote_then_honest () =
     Alcotest.(check bool) "honest vote still accepted" true
       (Node.gossip_validate node (Message.Ba_vote honest))
 
+(* A relayed variant that shifts bytes across a field boundary - the
+   first key byte moved onto the end of the value - concatenates to the
+   same bytes as the honest vote but has its own gossip id, so dedup does
+   not stop it. It must not share a cache entry with the honest vote:
+   delivered first, it fails validation, and the honest copy arriving
+   after it must still be counted and relayed. *)
+let boundary_shifted_vote_then_honest () =
+  let h = Harness.build (base ~seed:77 ~users:6 ~rounds:2) in
+  Array.iter Node.start h.nodes;
+  ignore (Engine.run h.engine ~until:3.0 ());
+  let node = h.nodes.(0) in
+  let rs_round = Node.round node in
+  let prev_hash = (Chain.tip (Node.chain node)).hash in
+  let vote =
+    Array.to_list h.identities
+    |> List.find_map (fun (id : Identity.t) ->
+           Vote.make ~signer:id.signer ~prover:id.prover ~pk:id.pk ~seed:h.genesis.seed0
+             ~tau:fast_params.tau_step ~w:1000 ~total_weight:(6 * 1000) ~round:rs_round
+             ~step:(Vote.Bin 1) ~prev_hash ~value:(Sha256.digest "shifted-candidate"))
+  in
+  match vote with
+  | None -> Alcotest.skip ()
+  | Some honest ->
+    let pk = honest.voter_pk in
+    let shifted =
+      {
+        honest with
+        value = honest.value ^ String.sub pk 0 1;
+        voter_pk = String.sub pk 1 (String.length pk - 1);
+      }
+    in
+    Alcotest.(check string) "same bytes across the boundary"
+      (Vote.signed_body honest ^ honest.voter_pk)
+      (Vote.signed_body shifted ^ shifted.voter_pk);
+    Alcotest.(check bool) "gossip ids differ" false
+      (String.equal (Vote.gossip_id honest) (Vote.gossip_id shifted));
+    Alcotest.(check bool) "shifted variant rejected" false
+      (Node.gossip_validate node (Message.Ba_vote shifted));
+    Alcotest.(check bool) "honest vote still counted" true
+      (Node.gossip_validate node (Message.Ba_vote honest))
+
 (* Same attack against the future-round blind-relay path: a forged
    future vote must not be relayed (it would be marked seen and
    suppress the honest copy at every hop). *)
@@ -318,6 +359,7 @@ let suite =
         ts "flood contained: ban + bounded latency" flood_contained;
         ts "tight quotas degrade, not deadlock" quota_drops_engage;
         ts "vote cache immune to corrupted variant" poisoned_vote_then_honest;
+        ts "vote cache immune to boundary-shifted variant" boundary_shifted_vote_then_honest;
         ts "future votes need a valid signature" future_vote_needs_signature;
       ] );
   ]
