@@ -295,6 +295,8 @@ type wire_audit = {
   wa_hashes : string list;  (** that prefix's block hashes (raw) *)
   wa_decode_failures : int;
   wa_handshake_failures : int;
+  wa_quota_drops : int;
+  wa_bans : int;
   wa_details : string list;  (** human-readable failure notes *)
 }
 
@@ -451,13 +453,16 @@ let spawn_cluster (o : opts) : wire_audit =
   if min_rounds < o.rounds then
     note "shortest certified prefix %d < requested %d rounds" min_rounds o.rounds;
   let decode_failures = ref 0 and handshake_failures = ref 0 in
+  let quota_drops = ref 0 and bans = ref 0 in
   List.iter
     (fun (i, _) ->
       match read_file (report_path i) with
       | None -> note "process %d wrote no report" i
       | Some json ->
         decode_failures := !decode_failures + json_int json "decode_failures";
-        handshake_failures := !handshake_failures + json_int json "handshake_failures")
+        handshake_failures := !handshake_failures + json_int json "handshake_failures";
+        quota_drops := !quota_drops + json_int json "quota_drops";
+        bans := !bans + json_int json "bans")
     pids;
   if !decode_failures > 0 then note "%d decode failures on the wire" !decode_failures;
   if !handshake_failures > 0 then note "%d handshake failures" !handshake_failures;
@@ -467,6 +472,8 @@ let spawn_cluster (o : opts) : wire_audit =
     wa_hashes = prefix;
     wa_decode_failures = !decode_failures;
     wa_handshake_failures = !handshake_failures;
+    wa_quota_drops = !quota_drops;
+    wa_bans = !bans;
     wa_details = List.rev !details;
   }
 
@@ -481,8 +488,9 @@ let print_wire_audit (o : opts) (a : wire_audit) : unit =
     (Printf.sprintf "\"final_hash\":\"%s\","
        (match List.rev a.wa_hashes with h :: _ -> hex h | [] -> ""));
   Buffer.add_string b
-    (Printf.sprintf "\"decode_failures\":%d,\"handshake_failures\":%d,\"ok\":%b,"
-       a.wa_decode_failures a.wa_handshake_failures a.wa_ok);
+    (Printf.sprintf
+       "\"decode_failures\":%d,\"handshake_failures\":%d,\"quota_drops\":%d,\"bans\":%d,\"ok\":%b,"
+       a.wa_decode_failures a.wa_handshake_failures a.wa_quota_drops a.wa_bans a.wa_ok);
   Buffer.add_string b "\"notes\":[";
   List.iteri
     (fun i s ->

@@ -60,6 +60,10 @@ let id (m : t) : string =
       (Hex.of_string
          (Sha256.digest_concat (List.map (fun (b, _) -> Block.hash b) items)))
 
+let point_to_point : t -> bool = function
+  | Round_request _ | Round_reply _ -> true
+  | _ -> false
+
 let size_bytes (m : t) : int =
   match m with
   | Tx tx -> Transaction.size_bytes tx

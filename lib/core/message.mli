@@ -38,5 +38,9 @@ val id : t -> string
     block per (round, proposer), per section 8.4. Retried requests
     carry their attempt number so re-issues are not deduped away. *)
 
+val point_to_point : t -> bool
+(** Addressed catch-up traffic ([Round_request], [Round_reply]):
+    delivered and deduplicated, never relayed by either overlay. *)
+
 val size_bytes : t -> int
 val kind : t -> string

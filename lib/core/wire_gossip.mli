@@ -5,12 +5,14 @@
     testable) and over {!Algorand_transport.Tcp_transport} (the
     multi-process deployment).
 
-    The untrusted-ingress pipeline mirrors the simulated overlay frame
-    for frame: ban check, flood admission (per-peer message quotas and
-    ban scores from a {!Gossip.limits}; the leaky ingress queue is the
-    socket's own buffer here), bounded {!Codec.decode}, dedup by
-    message id, validate-before-relay, then deliver and relay the raw
-    bytes onward - a hop never re-encodes. Peers are identified by the
+    Untrusted ingress runs {!Algorand_netsim.Ingress}, the same
+    pipeline as the simulated overlay: ban check, flood admission
+    (per-peer message quotas and ban scores from an
+    {!Algorand_netsim.Ingress.limits}; the simulator's leaky ingress
+    queue is the socket's own buffer here), bounded {!Codec.decode},
+    dedup by message id, validate-before-relay, then deliver and relay
+    the raw bytes onward - a hop never re-encodes. A ban cancels the
+    peer's redial and disconnects it. Peers are identified by the
     handshake public key, which must appear in the roster.
 
     Connection management: {!dial} makes this endpoint responsible for
@@ -28,7 +30,7 @@
 module Engine = Algorand_sim.Engine
 module Retry = Algorand_sim.Retry
 module Rng = Algorand_sim.Rng
-module Gossip = Algorand_netsim.Gossip
+module Ingress = Algorand_netsim.Ingress
 module Registry = Algorand_obs.Registry
 
 (** Plain-int mirror of the [gossip.*] registry counters, for tests
@@ -54,7 +56,7 @@ module Make (T : Algorand_transport.Transport.S) : sig
     self:int ->
     roster:string array ->
     limits:Codec.limits ->
-    ?flood:Gossip.limits ->
+    ?flood:Ingress.limits ->
     ?fanout:int ->
     ?retry:Retry.policy ->
     rng:Rng.t ->

@@ -4,10 +4,10 @@
     With a {!codec} installed, the overlay runs bytes-on-the-wire:
     every message is encoded at the sender and decoded at each
     receiving hop before anything else looks at it; undecodable frames
-    are dropped and counted. With {!limits}, each node meters its
-    ingress per peer (bounded leaky-bucket queue, per-peer window
-    quotas) and bans peers whose ban score — fed by undecodable frames
-    and quota violations — crosses the threshold. *)
+    are dropped and counted. With {!limits}, each node bounds its
+    ingress with a leaky-bucket queue; the rest of the pipeline (quota,
+    ban score, decode, dedup, validate) is each node's {!Ingress}, the
+    one the wire overlay runs too. *)
 
 open Algorand_sim
 
@@ -21,22 +21,9 @@ type 'msg codec = {
   dec : string -> 'msg option;
 }
 
-type limits = {
-  queue_capacity : int;  (** max ingress-queue depth per node *)
-  drain_per_s : float;  (** ingress-queue service rate, messages/second *)
-  quota_window_s : float;  (** per-peer quota window length *)
-  quota_msgs : int;  (** max messages accepted from one peer per window *)
-  ban_threshold : int;  (** ban score at which a peer is disconnected *)
-  decode_fail_score : int;  (** score added per undecodable frame *)
-  quota_score : int;
-      (** score added per per-peer quota violation (queue tail drops are
-          counted but unscored: shared-queue overflow does not
-          implicate the frame's sender) *)
-}
+type limits = Ingress.limits
 
 val default_limits : limits
-(** Generous for honest traffic at paper scale; a deliberate flooder
-    crosses the ban threshold within a few simulated seconds. *)
 
 type 'msg config = {
   msg_id : 'msg -> string;
@@ -61,16 +48,13 @@ val create :
   weights:float array ->
   'msg config ->
   'msg t
-(** With [registry], the overlay maintains "gossip.delivered",
-    "gossip.duplicates_dropped", "gossip.invalid_dropped",
-    "gossip.relayed" (fan-out sends while relaying),
-    "gossip.originated", "gossip.p2p_sends", "gossip.decode_fail",
-    "gossip.quota_drops" and "gossip.banned_peers" counters plus a
-    "gossip.ingress_queue_depth" histogram. With an enabled [trace],
+(** With [registry], the overlay maintains the {!Ingress.counters}
+    family plus a "gossip.ingress_queue_depth" histogram. With an
+    enabled [trace],
     peer-graph changes ({!redraw}, {!relink}, bans) emit instant
-    events. Ingress pipeline order: ban check, flood admission,
-    decode, dedup, validate, deliver + relay (a hop relays the [Raw]
-    bytes it received — no re-encode). *)
+    events. Ingress pipeline order: ban check, flood admission (queue,
+    then per-peer quota), decode, dedup, validate, deliver + relay (a
+    hop relays the [Raw] bytes it received — no re-encode). *)
 
 val broadcast : 'msg t -> node:int -> bytes:int -> 'msg -> unit
 (** Originate a message at [node] (encoded first when in wire mode). *)
@@ -102,7 +86,6 @@ val relink : 'msg t -> node:int -> weights:float array -> unit
     meters), and draw it fresh weighted bidirectional peers. Everyone
     else's links — and their bans against it — are untouched. *)
 
-val flush_seen : 'msg t -> unit
 val duplicates_dropped : 'msg t -> int
 val invalid_dropped : 'msg t -> int
 val decode_failures : 'msg t -> int

@@ -403,6 +403,70 @@ let loopback_redial () =
   let cnt name = Option.value ~default:0 (Registry.counter_value registry name) in
   Alcotest.(check bool) "reconnects counted" true (cnt "transport.reconnects" >= 1)
 
+(* Flood defense on the wire: an overlay at index 0 dials roster peer 1,
+   which is a bare Loopback endpoint under test control - frames it
+   sends reach the overlay's ingress as they are. *)
+let flood_pair ~flood =
+  let engine = Engine.create () in
+  let registry = Registry.create () in
+  let hub = Loopback.hub ~engine () in
+  let handlers = Transport.handlers () in
+  let tr = Loopback.create ~hub ~addr:"pk-0" ~hello:(hello ~pk:"pk-0" ()) ~registry ~handlers () in
+  let wg =
+    WGL.create ~engine ~transport:tr ~handlers ~self:0 ~roster:[| "pk-0"; "pk-1" |]
+      ~limits:Codec.default_limits ~flood ~rng:(Rng.create 5) ~registry ()
+  in
+  let peer = endpoint ~hub ~addr:"pk-1" ~registry () in
+  WGL.dial wg ~index:1 ~addr:"pk-1";
+  ignore (Engine.run engine ~until:1.0 ());
+  Alcotest.(check (list int)) "connected before the flood" [ 1 ] (WGL.connected wg);
+  let send frames =
+    let conn = List.hd (Loopback.conns peer.tr) in
+    List.iter (fun f -> ignore (Loopback.send peer.tr ~conn f)) frames
+  in
+  (engine, registry, wg, peer, send)
+
+let wire_flood_banned () =
+  let limits = Algorand_netsim.Gossip.default_limits in
+  let engine, registry, wg, peer, send = flood_pair ~flood:limits in
+  let to_ban = limits.ban_threshold / limits.decode_fail_score in
+  send (List.init to_ban (fun i -> Printf.sprintf "\xff garbage %d" i));
+  ignore (Engine.run engine ~until:2.0 ());
+  let s = WGL.stats wg in
+  Alcotest.(check int) "undecodable frames counted" to_ban s.Wire_gossip.decode_failures;
+  Alcotest.(check int) "banned once the threshold is crossed" 1 s.Wire_gossip.bans;
+  Alcotest.(check (list int)) "banned" [ 1 ] (WGL.banned wg);
+  (* Well past any redial backoff: the ban holds. *)
+  ignore (Engine.run engine ~until:600.0 ());
+  Alcotest.(check (list int)) "still banned" [ 1 ] (WGL.banned wg);
+  Alcotest.(check (list int)) "never reconnected" [] (WGL.connected wg);
+  let cnt name = Option.value ~default:0 (Registry.counter_value registry name) in
+  Alcotest.(check int) "never redialed" 0 (cnt "transport.reconnects");
+  Alcotest.(check int) "peer saw one connection" 1 (List.length !(peer.ups));
+  (* Dialing in from the banned side is refused at the handshake. *)
+  Loopback.connect peer.tr "pk-0";
+  ignore (Engine.run engine ~until:601.0 ());
+  Alcotest.(check bool) "inbound dial rejected as banned" true
+    (List.exists
+       (fun (_, r) -> r = Transport.Handshake_rejected `Banned)
+       !(peer.downs));
+  Alcotest.(check (list int)) "still disconnected" [] (WGL.connected wg)
+
+let wire_quota_drops () =
+  let limits = { Algorand_netsim.Gossip.default_limits with quota_msgs = 5 } in
+  let engine, _, wg, _, send = flood_pair ~flood:limits in
+  (* Eight distinct, decodable messages inside one quota window. *)
+  send
+    (List.init 8 (fun i ->
+         Codec.encode (Message.Round_request { from_round = i; requester = 1; attempt = 0 })));
+  ignore (Engine.run engine ~until:2.0 ());
+  let s = WGL.stats wg in
+  Alcotest.(check int) "admitted up to the quota" 5 s.Wire_gossip.delivered;
+  Alcotest.(check int) "the rest are quota drops" 3 s.Wire_gossip.quota_drops;
+  Alcotest.(check int) "no decode failures" 0 s.Wire_gossip.decode_failures;
+  Alcotest.(check int) "a few violations do not ban" 0 s.Wire_gossip.bans;
+  Alcotest.(check (list int)) "still connected" [ 1 ] (WGL.connected wg)
+
 (* -------------------------------- TCP ------------------------------ *)
 
 type tep = {
@@ -701,6 +765,8 @@ let suite =
         ts "consensus over loopback equals the simulated overlay" consensus_over_loopback;
         ts "ledger invariant under segmentation policy" consensus_segmentation_invariant;
         ts "killed link redials with backoff" loopback_redial;
+        t "wire flood: undecodable frames ban, no redial" wire_flood_banned;
+        t "wire flood: per-peer quota drops" wire_quota_drops;
         ts "tcp: handshake and reassembled frames" tcp_handshake_and_frames;
         ts "tcp: wrong params digest rejected with reason" tcp_digest_rejected;
         ts "tcp: peer death mid-frame" tcp_death_mid_frame;
